@@ -2,10 +2,17 @@
 
 :class:`AdvisedController` wraps a plain :class:`~repro.core.coca.COCA`
 instance.  Every slot it first runs the wrapped controller verbatim -- the
-*shadow* decision, computed on exactly the state plain COCA would hold --
-then, when a trusted advice frame covers the slot, solves the advised
-alternative (P3 at the advice multiplier) and lets the
+*shadow* decision: plain COCA's per-slot decision on the committed path's
+state -- then, when a trusted advice frame covers the slot, solves the
+advised alternative (P3 at the advice multiplier) and lets the
 :class:`~repro.advice.trust.TrustGuard` pick which action to commit.
+
+The shadow is not an independent plain-COCA run: :meth:`observe` feeds
+the *committed* outcome into the inner COCA, so after the first advised
+slot its deficit queue follows the advised path, and the guard's
+``(1+λ)`` budget certifies cumulative cost against these path-dependent
+shadow decisions only.  Certifying against a separate plain-COCA lane is
+open (ROADMAP item 3).
 
 The wrapper preserves the repo's replay-determinism contract: the shadow
 solve always happens first on the inner controller's own solver and state,
@@ -101,8 +108,8 @@ class AdvisedController(Controller):
 
     def bind_telemetry(self, telemetry) -> None:
         # The advice solver stays unbound on purpose: advised solves are
-        # speculative, and their engine events would double-count the
-        # slot's solve attribution.
+        # tentative (committed only when trusted), and their engine events
+        # would double-count the slot's solve attribution.
         super().bind_telemetry(telemetry)
         self.inner.bind_telemetry(telemetry)
 

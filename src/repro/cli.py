@@ -30,7 +30,8 @@ trace of the run) and ``--metrics-out FILE`` (write a metrics snapshot:
 ``.md`` renders markdown, anything else CSV); see ``docs/OBSERVABILITY.md``.
 
 Failures exit with a *distinct* nonzero code so CI and scripts can tell
-them apart: :data:`EXIT_BAD_INPUT` (1) for unreadable/invalid inputs,
+them apart: :data:`EXIT_BAD_INPUT` (1) for unreadable/invalid inputs and
+usage errors such as an unknown flag,
 :data:`EXIT_MONITOR_CRITICAL` (2) for ``--strict`` invariant-monitor
 failures, :data:`EXIT_REPLAY_MISMATCH` (3) when ``--verify-replay`` finds
 a bit-level divergence, :data:`EXIT_SHUTDOWN` (4) when ``repro serve``
@@ -763,22 +764,18 @@ def _materialize_run(manifest: dict, scenario=None):
     """
     from .core.coca import COCA
     from .faults import DegradationPolicy, FaultInjector, FaultSchedule
-    from .solvers import DistributedGSD, GSDSolver, ShardedGSDSolver
+    from .solvers import DistributedGSD, GSDSolver
 
     if scenario is None:
         scenario = _scenario_from_manifest(manifest["scenario"])
     run = manifest["run"]
     solver = None
-    shards = int(run.get("shards") or 0)
-    if shards:
-        # --shards N promotes the GSD chain to the process-sharded solver
-        # (bit-identical results; see docs/SCALING.md).
-        solver = ShardedGSDSolver(
-            shards=shards,
-            iterations=int(run["iterations"]),
-            rng=np.random.default_rng(int(run["solver_seed"])),
-        )
-    elif run["solver"] == "gsd":
+    # Legacy manifests may carry ``"shards": N`` from the removed
+    # process-sharded solver.  Those runs always drove the GSD chain (even
+    # under ``--solver auto``) with central draws, bit-identical to
+    # GSDSolver and with the same ``rng``/``solve_count`` checkpoint
+    # state, so they resume on the single-process chain.
+    if run.get("shards") or run["solver"] == "gsd":
         solver = GSDSolver(
             iterations=int(run["iterations"]),
             rng=np.random.default_rng(int(run["solver_seed"])),
@@ -833,32 +830,6 @@ def _materialize_run(manifest: dict, scenario=None):
     return scenario, controller, injector, policy
 
 
-def _shutdown_solver(controller) -> None:
-    """Release solver-held resources (the sharded solver's worker pool)."""
-    close = getattr(getattr(controller, "solver", None), "close", None)
-    if callable(close):
-        close()
-
-
-def _check_shards_flags(command: str, args) -> bool:
-    """Validate the --shards flag combination; prints and returns False on
-    a bad combination."""
-    if getattr(args, "shards", None) is None:
-        return True
-    if args.shards < 1:
-        print(f"repro {command}: --shards must be >= 1", file=sys.stderr)
-        return False
-    if args.solver == "distributed":
-        print(
-            f"repro {command}: --shards drives the process-sharded GSD "
-            "chain and cannot be combined with --solver distributed "
-            "(the in-process message-passing protocol)",
-            file=sys.stderr,
-        )
-        return False
-    return True
-
-
 def _print_run_summary(record) -> None:
     print(
         f"run: cost ${record.cost.sum():,.0f}, "
@@ -883,8 +854,6 @@ def _cmd_run(args) -> int:
     from .sim import simulate
     from .state import CheckpointWriter, atomic_write_text
 
-    if not _check_shards_flags("run", args):
-        return EXIT_BAD_INPUT
     scenario_cfg = {
         "scale": args.scale,
         "horizon": args.horizon,
@@ -927,7 +896,6 @@ def _cmd_run(args) -> int:
             "solver": args.solver,
             "iterations": args.iterations,
             "solver_seed": args.fault_seed,
-            "shards": args.shards,
             "fallback": args.fallback,
             "retries": args.retries,
             "solve_deadline_ms": args.solve_deadline_ms,
@@ -954,21 +922,18 @@ def _cmd_run(args) -> int:
             f"into {args.checkpoint_dir} (keep {args.checkpoint_keep})"
         )
 
-    try:
-        with _telemetry_scope(args) as telemetry:
-            record = simulate(
-                scenario.model,
-                controller,
-                scenario.environment,
-                telemetry=telemetry,
-                faults=injector,
-                degradation=policy,
-                checkpoint=writer,
-                solve_deadline_ms=args.solve_deadline_ms,
-                slot_sleep_s=args.slot_sleep_ms / 1000.0,
-            )
-    finally:
-        _shutdown_solver(controller)
+    with _telemetry_scope(args) as telemetry:
+        record = simulate(
+            scenario.model,
+            controller,
+            scenario.environment,
+            telemetry=telemetry,
+            faults=injector,
+            degradation=policy,
+            checkpoint=writer,
+            solve_deadline_ms=args.solve_deadline_ms,
+            slot_sleep_s=args.slot_sleep_ms / 1000.0,
+        )
     _print_run_summary(record)
     _maybe_save_record(args, record)
     return 0
@@ -1037,8 +1002,6 @@ def _cmd_resume(args) -> int:
         except CheckpointError as exc:
             print(f"repro resume: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        finally:
-            _shutdown_solver(controller)
     _print_run_summary(record)
     _maybe_save_record(args, record)
 
@@ -1048,16 +1011,13 @@ def _cmd_resume(args) -> int:
         _, golden_ctrl, golden_inj, golden_pol = _materialize_run(
             manifest, scenario=scenario
         )
-        try:
-            golden = simulate(
-                scenario.model,
-                golden_ctrl,
-                scenario.environment,
-                faults=golden_inj,
-                degradation=golden_pol,
-            )
-        finally:
-            _shutdown_solver(golden_ctrl)
+        golden = simulate(
+            scenario.model,
+            golden_ctrl,
+            scenario.environment,
+            faults=golden_inj,
+            degradation=golden_pol,
+        )
         mismatched = record_mismatches(record, golden)
         if mismatched:
             print(
@@ -1196,8 +1156,6 @@ def _cmd_serve(args) -> int:
         write_metrics,
     )
 
-    if not _check_shards_flags("serve", args):
-        return EXIT_BAD_INPUT
     config = _serve_config(args)
 
     manifest = None
@@ -1276,7 +1234,6 @@ def _cmd_serve(args) -> int:
                 "solver": args.solver,
                 "iterations": args.iterations,
                 "solver_seed": args.solver_seed,
-                "shards": args.shards,
                 "fallback": config.fallback,
                 "retries": config.retries,
                 "solve_deadline_ms": config.solve_deadline_ms,
@@ -1452,7 +1409,6 @@ def _cmd_serve(args) -> int:
     finally:
         for sig, handler in previous_handlers.items():
             _signal.signal(sig, handler)
-        _shutdown_solver(controller)
         suite.finalize()
         if journal is not None:
             journal.close()
@@ -1767,11 +1723,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterations per solve for --solver gsd/distributed",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the GSD chain over N worker processes (bit-identical to "
-        "the single-process solver; see docs/SCALING.md)",
-    )
-    p.add_argument(
         "--chaos",
         action="store_true",
         help="inject a generated fault schedule (see the fault flags)",
@@ -1850,11 +1801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--iterations", type=int, default=200,
         help="iterations per solve for --solver gsd/distributed",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the GSD chain over N worker processes (bit-identical to "
-        "the single-process solver; see docs/SCALING.md)",
     )
     p.add_argument(
         "--solver-seed", type=int, default=7,
@@ -2026,7 +1972,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 is EXIT_MONITOR_CRITICAL
+        # here: a refused flag is bad input.  --help still exits 0.
+        return EXIT_BAD_INPUT if exc.code else 0
     return args.func(args)
 
 

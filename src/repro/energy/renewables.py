@@ -41,17 +41,30 @@ def onsite_mix(
 
     The result has unit *total* energy; scale it with
     :meth:`Trace.scale_to_total` to a target share of consumption (the paper
-    scales on-site supply to ~20% of total energy use).
+    scales on-site supply to ~20% of total energy use).  A short horizon
+    can draw a component with zero total (a calm wind window); that
+    component's weight then goes to the other one.  Only when both are
+    zero is there nothing to mix, and a ``ValueError`` says so.
     """
     if not 0.0 <= solar_fraction <= 1.0:
         raise ValueError("solar_fraction must be in [0, 1]")
     gen = rng if rng is not None else np.random.default_rng(seed)
     sol = solar_trace(horizon, rng=gen)
     wnd = wind_trace(horizon, rng=gen)
-    mixed = (
-        solar_fraction * sol.scale_to_total(1.0).values
-        + (1.0 - solar_fraction) * wnd.scale_to_total(1.0).values
-    )
+    if sol.total <= 0 and wnd.total <= 0:
+        raise ValueError(
+            f"on-site mix over {horizon} slot(s): both the solar and the "
+            "wind draw have zero total energy"
+        )
+    if wnd.total <= 0:
+        mixed = sol.scale_to_total(1.0).values
+    elif sol.total <= 0:
+        mixed = wnd.scale_to_total(1.0).values
+    else:
+        mixed = (
+            solar_fraction * sol.scale_to_total(1.0).values
+            + (1.0 - solar_fraction) * wnd.scale_to_total(1.0).values
+        )
     return Trace(mixed, name="onsite-renewables", unit="MW")
 
 

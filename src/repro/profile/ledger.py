@@ -72,11 +72,6 @@ SUITE_ARGS: dict[str, tuple[str, ...]] = {
     "checkpoint_overhead": ("--horizon", "48", "--repeats", "2", "--warmup", "1"),
     "monitor_overhead": ("--horizon", "96", "--repeats", "3", "--warmup", "1"),
     "span_overhead": ("--horizon", "96", "--repeats", "3", "--warmup", "1"),
-    # scale self-gates sharded >= single-process throughput on the largest
-    # fleet (an in-run paired comparison, safe on shared runners); the
-    # week-wall-clock acceptance runs in the dedicated scale-smoke CI job
-    # with the full 168-slot horizon, so the ledger run skips it.
-    "scale": ("--repeats", "2", "--skip-week", "--check"),
     # advice self-gates the learning-augmented robustness contract: any
     # (1+λ) bound violation or never-trusted bit-identity failure exits
     # non-zero, which fails the ledger verdict even without a prior row.
@@ -88,9 +83,6 @@ SUITE_ARGS: dict[str, tuple[str, ...]] = {
 #: any increase beyond tolerance is a real regression, not runner noise.
 GATE_METRICS: dict[str, tuple[str, ...]] = {
     "solver_fastpath": ("inner_solves", "cold_solves", "evaluations"),
-    # The chain's evaluation count is a pure function of the seed, so any
-    # growth is a real algorithmic regression, not runner noise.
-    "scale": ("evaluations",),
     # Advice gating decisions are a pure function of the seeded traces
     # and the guard's thresholds, so these counters are exact: more
     # advised slots, budget blocks, or trust transitions than the prior

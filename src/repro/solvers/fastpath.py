@@ -276,7 +276,7 @@ class EvaluationCache:
         what K sequential :meth:`objective_of` calls would produce, with
         two deliberate exceptions: duplicate unseen rows inside one batch
         are each solved (and counted) rather than the second hitting the
-        memo, and the speculative rows do **not** advance the incremental
+        memo, and the batch rows do **not** advance the incremental
         delta-screen state -- their verdicts come from exact from-scratch
         sums, so :meth:`note_changed` bookkeeping stays tied to the
         engine's *real* level vector.

@@ -11,7 +11,7 @@ two contracts against per-row :func:`distribute_load` calls:
 These tests pin both over randomized problems, boundary-regime-targeted
 instances, the degenerate scalar fallbacks (``Wd == 0``, non-linear
 tariffs, zero-count groups, all-off rows), the batched objective scoring,
-and whole GSD chains run with speculation on vs off.
+and whole GSD chains run with the evaluation cache on, off and warm.
 """
 
 from dataclasses import replace
@@ -74,7 +74,7 @@ def random_levels(rng, model):
 
 def random_batch(rng, model, base):
     """Neighbor flips + random vectors + duplicates + all-off rows: the mix
-    the GSD speculation blocks and coordinate sweeps actually produce."""
+    coordinate scans and brute-force blocks actually produce."""
     G = model.fleet.num_groups
     K = int(rng.integers(3, 12))
     rows = []
@@ -291,19 +291,19 @@ class TestObjectiveBatch:
         assert finite_rows > 0
 
 
-class TestGSDSpeculation:
-    """End-to-end: GSD chains with speculative batching must replay the
-    scalar chain exactly -- same accepted levels, same loads bytes, same
-    objective, same evaluation count, same RNG end state."""
+class TestGSDChainEngines:
+    """End-to-end: a GSD chain must not depend on the evaluation engine --
+    cache on vs off replays the same accepted levels, loads bytes,
+    objective, evaluation count and RNG end state, and warm-started inner
+    solves keep the chain's decisions within the 1e-9 warm contract."""
 
-    def run(self, problem, *, batched, use_cache=True, warm=False, seed=3):
+    def run(self, problem, *, use_cache=True, warm=False, seed=3):
         solver = GSDSolver(
             iterations=120,
             delta=geometric_temperature(1.0, 1.12),
             rng=np.random.default_rng(seed),
             use_cache=use_cache,
             warm_start=warm,
-            batched=batched,
         )
         sol = solver.solve(problem)
         return sol, str(solver.rng.bit_generator.state)
@@ -315,26 +315,26 @@ class TestGSDSpeculation:
             model = random_model(rng)
             problem = random_problem(model, rng)
             try:
-                b, st_b = self.run(problem, batched=True)
-                s, st_s = self.run(problem, batched=False)
-                nc, st_nc = self.run(problem, batched=False, use_cache=False)
-                bw, st_bw = self.run(problem, batched=True, warm=True)
-                sw, st_sw = self.run(problem, batched=False, warm=True)
+                s, st_s = self.run(problem)
+                nc, st_nc = self.run(problem, use_cache=False)
+                sw, st_sw = self.run(problem, warm=True)
             except InfeasibleError:
                 continue
             chains += 1
-            for tag, a, c in (
-                ("batched-vs-scalar", b, s),
-                ("batched-vs-nocache", b, nc),
-                ("warm-batched-vs-warm-scalar", bw, sw),
-            ):
-                assert a.action.levels.tobytes() == c.action.levels.tobytes(), tag
-                assert (
-                    a.action.per_server_load.tobytes()
-                    == c.action.per_server_load.tobytes()
-                ), tag
-                assert a.evaluation.objective == c.evaluation.objective, tag
-                assert a.info["evaluations"] == c.info["evaluations"], tag
-            assert st_b == st_s == st_nc == st_bw == st_sw
-            assert b.info["speculation"]["blocks"] > 0
+            assert s.action.levels.tobytes() == nc.action.levels.tobytes()
+            assert (
+                s.action.per_server_load.tobytes()
+                == nc.action.per_server_load.tobytes()
+            )
+            assert s.evaluation.objective == nc.evaluation.objective
+            assert s.info["evaluations"] == nc.info["evaluations"]
+            assert sw.action.levels.tobytes() == s.action.levels.tobytes()
+            assert sw.evaluation.objective == pytest.approx(
+                s.evaluation.objective, rel=1e-9
+            )
+            assert st_s == st_nc == st_sw
         assert chains > 0
+
+    def test_batched_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            GSDSolver(batched=True)

@@ -117,6 +117,32 @@ class TestRunResume:
         assert main(["resume", str(ckpt_dir), "--verify-replay"]) == 0
         assert "bit-identical" in capsys.readouterr().out
 
+    def test_resume_legacy_sharded_manifest(self, tmp_path, capsys):
+        # Manifests written by the removed process-sharded solver carry
+        # "shards": N; such runs drove the GSD chain whatever --solver said
+        # and resume on the single-process chain.
+        ckpt_dir = tmp_path / "ckpts"
+        assert (
+            main(
+                [
+                    "run",
+                    "--horizon", "48",
+                    "--seed", "3",
+                    "--solver", "gsd",
+                    "--iterations", "40",
+                    "--checkpoint-dir", str(ckpt_dir),
+                    "--checkpoint-every", "10",
+                ]
+            )
+            == 0
+        )
+        path = ckpt_dir / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["run"].update(solver="auto", shards=2)
+        path.write_text(json.dumps(manifest))
+        assert main(["resume", str(ckpt_dir), "--verify-replay"]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+
     def test_record_out_round_trips(self, tmp_path, capsys):
         from repro.state import load_record, record_mismatches
 
@@ -134,6 +160,16 @@ class TestExitCodes:
 
     def test_codes_are_distinct(self):
         assert len({EXIT_BAD_INPUT, EXIT_MONITOR_CRITICAL, EXIT_REPLAY_MISMATCH}) == 3
+
+    def test_usage_error_is_bad_input(self, capsys):
+        # argparse's own usage-error exit (2) would read as monitor-critical.
+        assert main(["run", "--bogus"]) == EXIT_BAD_INPUT
+        assert main(["run", "--shards", "2"]) == EXIT_BAD_INPUT
+        assert main(["frobnicate"]) == EXIT_BAD_INPUT
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["run", "--help"]) == 0
 
     def test_chaos_missing_schedule_is_bad_input(self, tmp_path, capsys):
         rc = main(

@@ -66,6 +66,33 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             onsite_mix(100, solar_fraction=1.5)
 
+    def test_onsite_mix_zero_component_gives_up_its_weight(self, monkeypatch):
+        import repro.energy.renewables as renewables
+
+        def calm(horizon, rng=None):
+            return Trace(np.zeros(horizon), name="calm")
+
+        monkeypatch.setattr(renewables, "wind_trace", calm)
+        mix = onsite_mix(12, solar_fraction=0.6, seed=1)
+        solar = renewables.solar_trace(12, rng=np.random.default_rng(1))
+        assert mix.values.tobytes() == solar.scale_to_total(1.0).values.tobytes()
+
+        monkeypatch.setattr(renewables, "solar_trace", calm)
+        with pytest.raises(ValueError, match="both the solar and the wind"):
+            onsite_mix(12, seed=1)
+
+    def test_onsite_mix_with_both_components_unchanged(self):
+        from repro.traces import solar_trace, wind_trace
+
+        gen = np.random.default_rng(3)
+        sol, wnd = solar_trace(240, rng=gen), wind_trace(240, rng=gen)
+        expect = (
+            0.5 * sol.scale_to_total(1.0).values
+            + 0.5 * wnd.scale_to_total(1.0).values
+        )
+        mix = onsite_mix(240, solar_fraction=0.5, seed=3)
+        assert mix.values.tobytes() == expect.tobytes()
+
 
 class TestRECAccount:
     def test_per_slot_allowance(self):

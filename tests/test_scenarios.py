@@ -89,6 +89,12 @@ class TestPaperScenario:
         with pytest.raises(ValueError, match="unknown workload"):
             paper_scenario(horizon=24, workload="nope")
 
+    @pytest.mark.parametrize("horizon, seed", [(12, 1), (72, 545), (72, 1314)])
+    def test_short_horizon_with_calm_wind_builds(self, horizon, seed):
+        # These seeds draw an all-zero wind trace over the horizon.
+        sc = paper_scenario(horizon=horizon, seed=seed)
+        assert sc.environment.portfolio.onsite.total > 0
+
     @pytest.mark.slow
     def test_paper_scale_defaults(self):
         sc = paper_scenario(horizon=24 * 7)
